@@ -25,7 +25,9 @@ from conftest import run_once
 from repro.analysis import CostModel, ProtocolWorkload, format_table, measure_crypto_costs
 from repro.crypto import damgard_jurik as dj
 from repro.crypto.backends import DamgardJurikBackend, PlainBackend
-from repro.crypto.fastmath import BlinderPool, PrecomputedKey
+from repro.crypto import fastmath
+from repro.crypto.fastmath import BlinderPool, PrecomputedKey, powmod
+from repro.crypto.math_utils import random_coprime
 from repro.crypto.threshold import (
     combine_partial_decryptions,
     generate_threshold_keypair,
@@ -180,7 +182,10 @@ def collect_fastmath_baseline(
     pool, decrypt and the threshold share contrast full-width ``pow``
     against the CRT split, halve exercises the recurring
     ``2^{-1} mod n^s`` exponent, and combine contrasts the per-share pow
-    loop against Straus multi-exponentiation.
+    loop against Straus multi-exponentiation.  blinder times one fresh
+    public-key ``r^{n^s} mod n^{s+1}`` with the built-in ``pow`` and with
+    :func:`~repro.crypto.fastmath.powmod`: the offline price of every
+    pool-served operation.  ``bigint`` records the engine under ``powmod``.
 
     These are *simulation wall-clock* figures for the library's hot loop,
     where the in-process backend legitimately holds the dealer key (CRT).
@@ -201,6 +206,9 @@ def collect_fastmath_baseline(
         partial_decrypt(public, share, ciphertext, precomputed=precomputed)
         for share in shares[:threshold]
     ]
+    randomness = random_coprime(plain_public.n)
+    blinder_args = (randomness, plain_public.plaintext_modulus,
+                    plain_public.ciphertext_modulus)
 
     operations = {
         "encrypt": (
@@ -227,6 +235,10 @@ def collect_fastmath_baseline(
             lambda: combine_partial_decryptions(public, partials, multiexp=False),
             lambda: combine_partial_decryptions(public, partials, multiexp=True),
         ),
+        "blinder": (
+            lambda: pow(*blinder_args),
+            lambda: powmod(*blinder_args),
+        ),
     }
     rows = {}
     for name, (off_operation, fast_operation) in operations.items():
@@ -250,6 +262,7 @@ def collect_fastmath_baseline(
         "degree": degree,
         "threshold": threshold,
         "repetitions": repetitions,
+        "bigint": fastmath.BIGINT,
         "operations": rows,
     }
 

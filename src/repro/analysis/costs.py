@@ -31,7 +31,9 @@ from ..crypto.fastmath import (
     BlinderPool,
     PrecomputedKey,
     normalize_fastmath,
+    powmod,
 )
+from ..crypto.math_utils import random_coprime
 from ..crypto.threshold import (
     combine_partial_decryptions,
     generate_threshold_keypair,
@@ -61,6 +63,9 @@ class CryptoCostProfile:
     exponentiation happened in idle time) — 0.0 when the profile was
     measured with ``fastmath="off"``.  The :class:`CostModel` uses it to
     charge amortized and fresh exponentiations differently.
+    ``blinder_seconds`` is the full cost of that idle-time exponentiation,
+    one public-key blinder ``r^{n^s} mod n^{s+1}``: the offline price of
+    every pool-served operation.  A profile with a pool must carry it.
     """
 
     key_bits: int
@@ -73,6 +78,14 @@ class CryptoCostProfile:
     ciphertext_bytes: int
     fastmath: str = "off"
     pooled_encryption_seconds: float = 0.0
+    blinder_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.pooled_encryption_seconds > 0 and self.blinder_seconds <= 0:
+            raise AnalysisError(
+                "a profile with pooled encryptions needs blinder_seconds, the "
+                "offline cost of each pooled blinder"
+            )
 
     def as_dict(self) -> dict[str, float]:
         """Plain dictionary view (for reports)."""
@@ -86,6 +99,7 @@ class CryptoCostProfile:
             "combination_seconds": self.combination_seconds,
             "ciphertext_bytes": float(self.ciphertext_bytes),
             "pooled_encryption_seconds": self.pooled_encryption_seconds,
+            "blinder_seconds": self.blinder_seconds,
         }
 
     @classmethod
@@ -98,10 +112,13 @@ class CryptoCostProfile:
         modes (``off_seconds`` / ``fastmath_seconds``); *fastmath* selects
         the column.  The homomorphic-halving figure stands in for the
         per-ciphertext gossip-averaging operation (the protocol's only
-        homomorphic step), and the fastmath encryption figure doubles as the
-        amortized pooled-encryption cost.  Key generation is not benchmarked
-        there and is reported as 0 (it is a one-off setup cost, not a
-        per-run operation the extrapolator charges).
+        homomorphic step), the fastmath encryption figure doubles as the
+        amortized pooled-encryption cost, and the ``blinder`` row (one fresh
+        public-key ``r^{n^s}``) prices the offline work behind each pooled
+        operation; a payload without it raises :class:`AnalysisError`.  Key
+        generation is not benchmarked there and is reported as 0 (it is a
+        one-off setup cost, not a per-run operation the extrapolator
+        charges).
         """
         fastmath = normalize_fastmath(fastmath)
         column = "off_seconds" if fastmath == "off" else "fastmath_seconds"
@@ -114,6 +131,7 @@ class CryptoCostProfile:
             partial = float(operations["threshold_share"][column])
             combination = float(operations["combine"][column])
             pooled = float(operations["encrypt"]["fastmath_seconds"])
+            blinder = float(operations["blinder"][column])
         except (KeyError, TypeError, ValueError) as exc:
             raise AnalysisError(
                 f"malformed crypto benchmark payload: {exc!r}"
@@ -130,6 +148,7 @@ class CryptoCostProfile:
             ciphertext_bytes=(key_bits // 8) * (degree + 1),
             fastmath=fastmath,
             pooled_encryption_seconds=pooled if fastmath != "off" else 0.0,
+            blinder_seconds=blinder,
         )
 
     @property
@@ -169,7 +188,8 @@ class CryptoCostProfile:
 
         Every pool-served operation — pooled encryptions and pool-backed
         rerandomizations — consumed one precomputed blinder, i.e. one full
-        exponentiation executed off the hot path.  Without a pool
+        exponentiation executed off the hot path, priced at
+        ``blinder_seconds``.  Without a pool
         (``pooled_encryption_seconds == 0``) nothing was precomputed and the
         offline phase is empty: the full exponentiations are already charged
         online by :meth:`seconds_for_counts`.
@@ -180,7 +200,7 @@ class CryptoCostProfile:
             float(counts.get("pooled_encryptions", 0))
             + float(counts.get("rerandomizations", 0))
         )
-        return served * self.encryption_seconds
+        return served * self.blinder_seconds
 
     def phase_seconds_for_counts(
         self, counts: Mapping[str, float]
@@ -234,7 +254,8 @@ def measure_crypto_costs(
     demo's own methodology).  With ``fastmath="auto"`` the profile uses only
     the accelerations a *real participant* could run — public per-key caches,
     the idle-time blinder pool (whose amortized hot-path cost is reported in
-    ``pooled_encryption_seconds``) and multi-exponentiation share
+    ``pooled_encryption_seconds``, and whose offline cost per blinder in
+    ``blinder_seconds``) and multi-exponentiation share
     combination.  The private CRT context is deliberately NOT used here:
     share holders only know the public modulus, so charging them CRT-speed
     partial decryptions would understate the per-device cost the model
@@ -261,6 +282,15 @@ def measure_crypto_costs(
         dj.encrypt(public.public_key, value, precomputed=precomputed) for value in plaintexts
     ]
     encryption_seconds = (time.perf_counter() - start) / repetitions
+
+    # One fresh public-key blinder r^{n^s} mod n^{s+1}: the exponentiation a
+    # pool runs offline for every pool-served operation.
+    exponentiate = powmod if use_fastmath else pow
+    randomness = random_coprime(public.public_key.n)
+    start = time.perf_counter()
+    for _ in range(repetitions):
+        exponentiate(randomness, plaintext_modulus, public.public_key.ciphertext_modulus)
+    blinder_seconds = (time.perf_counter() - start) / repetitions
 
     pooled_encryption_seconds = 0.0
     if use_fastmath:
@@ -307,6 +337,7 @@ def measure_crypto_costs(
         ciphertext_bytes=public.public_key.ciphertext_bits // 8,
         fastmath=fastmath,
         pooled_encryption_seconds=pooled_encryption_seconds,
+        blinder_seconds=blinder_seconds,
     )
 
 

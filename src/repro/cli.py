@@ -219,6 +219,7 @@ def _command_run(args: argparse.Namespace) -> int:
             "cluster_sizes": result.cluster_sizes(),
             "guarantee": result.guarantee.as_dict(),
             "costs": result.costs.as_dict(),
+            "fastmath": result.metadata["fastmath"],
         }
         if "live" in result.metadata:
             payload["live"] = result.metadata["live"]
@@ -233,6 +234,8 @@ def _command_run(args: argparse.Namespace) -> int:
     ))
     print()
     print(format_table([result.guarantee.as_dict()], title="realised privacy guarantee"))
+    print()
+    print(format_table([result.metadata["fastmath"]], title="crypto arithmetic"))
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..clustering.kmeans import assign_to_centroids, compute_inertia, public_initial_centroids
 from ..config import ChiaroscuroConfig
+from ..crypto import fastmath
 from ..crypto.backends import CipherBackend, make_backend
 from ..crypto.wire import normalize_wire
 from ..exceptions import ConfigurationError, ProtocolError
@@ -134,9 +135,13 @@ class RunSetup:
         }
 
     def fastmath_info(self) -> dict[str, Any]:
+        pooled = getattr(self.backend, "fastmath_enabled", False)
         return {
             "mode": getattr(self.backend, "fastmath", "off"),
-            "pooled": getattr(self.backend, "fastmath_enabled", False),
+            "pooled": pooled,
+            # The engine under the run's exponentiations: fastmath routes them
+            # through fastmath.powmod, otherwise they are the built-in pow.
+            "bigint": fastmath.BIGINT if pooled else "python",
         }
 
     def wire_info(self) -> dict[str, Any]:

@@ -330,7 +330,7 @@ def _per_node_offline_seconds(
     for key in ("pooled_encryptions", "rerandomizations"):
         if key in per_node_ops:
             served = served + per_node_ops[key]
-    return served * profile.encryption_seconds
+    return served * profile.blinder_seconds
 
 
 def _workload_extrapolation(
@@ -366,7 +366,7 @@ def _workload_extrapolation(
             offline = (
                 workload.encryptions_per_iteration
                 * iterations
-                * profile.encryption_seconds
+                * profile.blinder_seconds
             )
         exact("online_seconds", estimate.total_compute_seconds)
         exact("offline_seconds", offline)
@@ -861,7 +861,7 @@ def _run_sampled(
         "fastmath": (
             sample["setup"].fastmath_info()
             if sample is not None
-            else {"mode": "off", "pooled": False}
+            else {"mode": "off", "pooled": False, "bigint": "python"}
         ),
         "wire": (
             sample["setup"].wire_info()

@@ -33,17 +33,24 @@ reproduces the seed behaviour bit for bit given the same randomness stream,
 and with ``fastmath = auto`` every decrypted plaintext is the same integer —
 only the wall-clock changes.
 
-When `gmpy2 <https://gmpy2.readthedocs.io>`_ is importable, the hot
-modular primitives (:func:`powmod`, :func:`invert`) ride its ``mpz``
-implementations instead of CPython's ``pow`` — same integers, GMP speed.
-The library never requires gmpy2: absent, the pure-Python path runs.  Both
-helpers live inside the fastmath machinery only, so ``fastmath = off``
-keeps the seed arithmetic untouched either way.
+The bigint engine under all of them is :func:`powmod` / :func:`invert`.
+On the first call they load the system GNU MP library (``libgmp``, found
+with :func:`ctypes.util.find_library`) and run ``mpz_powm`` /
+``mpz_invert`` on it — the same integers as CPython's ``pow``, several
+times faster at Damgård–Jurik sizes.  Where libgmp is absent they *are*
+the built-in ``pow``.  :data:`BIGINT` names the engine in use (``"gmp"``
+or ``"python"``); every run records it in ``result.metadata["fastmath"]``
+and its execution log, and ``repro run`` prints it.  Workloads that never
+exponentiate never load the library.  Both helpers live inside the
+fastmath machinery only, so ``fastmath = off`` keeps the seed arithmetic
+(built-in ``pow``) untouched either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
 from collections import deque
 from typing import Callable, Sequence
@@ -51,48 +58,187 @@ from typing import Callable, Sequence
 from ..exceptions import CryptoError, ValidationError
 from .math_utils import mod_inverse, random_coprime
 
-try:  # pragma: no cover - exercised only where gmpy2 is installed
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - the common container case
-    _gmpy2 = None
 
-#: Whether the optional gmpy2 backend is active for :func:`powmod` /
-#: :func:`invert` (purely a wall-clock matter; results are identical).
-HAVE_GMPY2 = _gmpy2 is not None
+# --------------------------------------------------------------------------- bigint engine
+class _Mpz(ctypes.Structure):
+    """GMP's ``__mpz_struct``: allocated limbs, signed used limbs, limb pointer."""
+
+    _fields_ = [
+        ("_mp_alloc", ctypes.c_int),
+        ("_mp_size", ctypes.c_int),
+        ("_mp_d", ctypes.c_void_p),
+    ]
+
+
+class _Registers:
+    """One thread's ``mpz_t`` scratch: result, base, exponent, modulus.
+
+    Registers are per thread because ``CDLL`` releases the GIL inside every
+    GMP call, and even without that the GIL may switch threads between the
+    import / powm / export steps of one :func:`powmod`.
+    """
+
+    def __init__(self, gmp: "_Gmp") -> None:
+        self._clear = gmp.clear
+        self._pid = os.getpid()
+        self._mpz = (_Mpz * 4)()
+        self.addresses = tuple(ctypes.addressof(mpz) for mpz in self._mpz)
+        for address in self.addresses:
+            gmp.init(address)
+
+    def __del__(self) -> None:
+        # A forked child inherits other threads' registers possibly mid-call;
+        # only the process that allocated them frees them.
+        if os.getpid() == self._pid:
+            for address in self.addresses:
+                self._clear(address)
+
+
+class _Gmp:
+    """``ctypes`` binding of the few libgmp entry points :func:`powmod` needs.
+
+    Loaded with ``CDLL``, not ``PyDLL``: ``CDLL`` releases the GIL for the
+    duration of each call, so a :class:`BlinderPool` background refill
+    exponentiates in parallel with the main thread instead of stalling it.
+    That is safe because no GMP call touches Python objects (operands cross
+    as immutable ``bytes`` and a private result buffer) and every thread
+    works on its own :class:`_Registers`.
+    """
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        pointer, size, flag = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int
+        signatures = {
+            "init": ("__gmpz_init", [pointer], None),
+            "clear": ("__gmpz_clear", [pointer], None),
+            "import_": ("__gmpz_import",
+                        [pointer, size, flag, size, flag, size, ctypes.c_char_p], None),
+            "export": ("__gmpz_export",
+                       [pointer, ctypes.POINTER(size), flag, size, flag, size, pointer],
+                       pointer),
+            "powm_raw": ("__gmpz_powm", [pointer, pointer, pointer, pointer], None),
+            "invert_raw": ("__gmpz_invert", [pointer, pointer, pointer], flag),
+        }
+        for attribute, (symbol, argtypes, restype) in signatures.items():
+            function = getattr(lib, symbol)
+            function.argtypes = argtypes
+            function.restype = restype
+            setattr(self, attribute, function)
+        self._local = threading.local()
+
+    def registers(self) -> tuple[int, ...]:
+        try:
+            return self._local.registers.addresses
+        except AttributeError:
+            self._local.registers = _Registers(self)
+            return self._local.registers.addresses
+
+    def load(self, register: int, value: int) -> None:
+        """``register = value`` for a non-negative Python int."""
+        length = (value.bit_length() + 7) // 8
+        # Least significant byte first, one byte per word, no nails.
+        self.import_(register, length, -1, 1, 0, 0, value.to_bytes(length, "little"))
+
+    def read(self, register: int, modulus: int) -> int:
+        """The value of *register*, known to lie in ``[0, modulus)``."""
+        # Sized from the modulus, so the export always fits; the buffer
+        # starts zeroed, so the bytes past the value's length read as 0.
+        buffer = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)
+        self.export(buffer, None, -1, 1, 0, 0, register)
+        return int.from_bytes(buffer.raw, "little")
+
+    def powm(self, base: int, exponent: int, modulus: int) -> int:
+        """``base^exponent mod modulus`` for ``0 <= base < modulus``, ``exponent >= 0``."""
+        result, base_r, exponent_r, modulus_r = self.registers()
+        self.load(base_r, base)
+        self.load(exponent_r, exponent)
+        self.load(modulus_r, modulus)
+        self.powm_raw(result, base_r, exponent_r, modulus_r)
+        return self.read(result, modulus)
+
+    def inverse(self, value: int, modulus: int) -> int | None:
+        """``value^-1 mod modulus`` for ``0 <= value < modulus``; ``None`` if none exists."""
+        result, value_r, _, modulus_r = self.registers()
+        self.load(value_r, value)
+        self.load(modulus_r, modulus)
+        if not self.invert_raw(result, value_r, modulus_r):
+            return None
+        return self.read(result, modulus)
+
+
+def _load_gmp() -> _Gmp | None:
+    import ctypes.util
+
+    path = ctypes.util.find_library("gmp")
+    if path is None:
+        return None
+    try:
+        return _Gmp(ctypes.CDLL(path))
+    except (OSError, AttributeError):  # unloadable, or a libgmp missing a symbol
+        return None
+
+
+_NOT_LOADED = object()
+#: The loaded :class:`_Gmp` binding, ``None`` without libgmp, or not yet tried.
+_gmp: object = _NOT_LOADED
+_gmp_lock = threading.Lock()
+
+
+def _engine() -> _Gmp | None:
+    global _gmp
+    if _gmp is _NOT_LOADED:
+        with _gmp_lock:
+            if _gmp is _NOT_LOADED:
+                _gmp = _load_gmp()
+    return _gmp  # type: ignore[return-value]
+
+
+def __getattr__(name: str) -> str:
+    # ``BIGINT`` is computed on access so that importing this module never
+    # loads libgmp: ``"gmp"`` when the library is in use, else ``"python"``.
+    if name == "BIGINT":
+        return "python" if _engine() is None else "gmp"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
-    """``base^exponent mod modulus`` on the fastest available bigint backend.
+    """``base^exponent mod modulus`` on the fastest available bigint engine.
 
-    Semantically identical to the built-in three-argument ``pow`` —
-    including negative exponents for invertible bases — but routed through
-    ``gmpy2.powmod`` when the library is importable.
+    Returns exactly what the built-in three-argument ``pow`` returns for a
+    positive modulus, negative exponents of invertible bases included.  A
+    modulus ``<= 0`` or a negative exponent of a non-invertible base raise
+    :class:`CryptoError`.  Every operand is validated and normalised here,
+    so GMP only ever sees ``0 <= base < modulus``, ``exponent >= 0`` and
+    ``modulus >= 2``.
     """
-    if _gmpy2 is not None:
-        try:
-            return int(_gmpy2.powmod(base, exponent, modulus))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CryptoError(
-                f"powmod({base}, {exponent}, {modulus}) is undefined"
-            ) from exc
-    return pow(base, exponent, modulus)
+    if modulus <= 1:
+        if modulus == 1:
+            return 0
+        raise CryptoError(f"modulus must be positive, got {modulus}")
+    if exponent < 0:
+        base = invert(base, modulus)
+        exponent = -exponent
+    gmp = _engine()
+    if gmp is None:
+        return pow(base, exponent, modulus)
+    return gmp.powm(base % modulus, exponent, modulus)
 
 
 def invert(value: int, modulus: int) -> int:
-    """Modular inverse on the fastest available bigint backend.
+    """Modular inverse on the fastest available bigint engine.
 
     Same contract as :func:`~repro.crypto.math_utils.mod_inverse`
-    (:class:`CryptoError` when no inverse exists), via ``gmpy2.invert``
-    when importable.
+    (:class:`CryptoError` for a modulus ``<= 0`` or when no inverse exists).
     """
-    if _gmpy2 is not None:
-        if modulus <= 0:
-            raise CryptoError(f"modulus must be positive, got {modulus}")
-        try:
-            return int(_gmpy2.invert(value, modulus))
-        except ZeroDivisionError as exc:
-            raise CryptoError(f"{value} has no inverse modulo {modulus}") from exc
-    return mod_inverse(value, modulus)
+    if modulus <= 1:
+        return mod_inverse(value, modulus)
+    gmp = _engine()
+    if gmp is None:
+        return mod_inverse(value, modulus)
+    inverse = gmp.inverse(value % modulus, modulus)
+    if inverse is None:
+        raise CryptoError(f"{value} has no inverse modulo {modulus}")
+    return inverse
+
 
 #: Fastmath knob values accepted everywhere (configuration, CLI, factories).
 FASTMATH_CHOICES = ("auto", "off")

@@ -102,6 +102,7 @@ class TestPhaseSplit:
             addition_seconds=1e-4, partial_decryption_seconds=0.02,
             combination_seconds=0.03, ciphertext_bytes=512,
             fastmath="auto", pooled_encryption_seconds=0.001,
+            blinder_seconds=0.05,
         )
 
     def test_rerandomizations_are_charged_the_pooled_cost(self, pooled_profile):
@@ -113,10 +114,47 @@ class TestPhaseSplit:
             == pytest.approx(15 * 0.001)
 
     def test_offline_charges_one_exponentiation_per_pool_draw(self, pooled_profile):
+        """Each of the 15 pool draws costs one blinder exponentiation
+        (0.05 s), not the fresh-encryption or pooled hot-path figure."""
         counts = {"pooled_encryptions": 10, "rerandomizations": 5,
                   "additions": 100}
         assert pooled_profile.offline_seconds_for_counts(counts) \
-            == pytest.approx(15 * 0.01)
+            == pytest.approx(0.75)
+
+    @staticmethod
+    def _bench_payload():
+        """A hand-written BENCH_crypto.json payload: (off, fastmath) seconds."""
+        table = {"encrypt": (0.2, 5e-5), "halve": (0.2, 0.1),
+                 "threshold_share": (0.4, 0.1), "combine": (0.006, 0.004),
+                 "blinder": (0.18, 0.02)}
+        return {"key_bits": 2048, "degree": 1, "operations": {
+            name: {"off_seconds": off, "fastmath_seconds": fast}
+            for name, (off, fast) in table.items()
+        }}
+
+    def test_bench_profile_prices_offline_at_the_blinder_row(self):
+        profile = CryptoCostProfile.from_bench_json(self._bench_payload(),
+                                                    fastmath="auto")
+        counts = {"pooled_encryptions": 300, "rerandomizations": 100}
+        # 400 pool draws x 0.02 s per fresh blinder, not x 5e-5 (pooled).
+        assert profile.offline_seconds_for_counts(counts) == pytest.approx(8.0)
+        assert profile.seconds_for_counts(counts) == pytest.approx(400 * 5e-5)
+
+    def test_bench_payload_without_blinder_row_rejected(self):
+        payload = self._bench_payload()
+        del payload["operations"]["blinder"]
+        for fastmath in ("off", "auto"):
+            with pytest.raises(AnalysisError, match="blinder"):
+                CryptoCostProfile.from_bench_json(payload, fastmath=fastmath)
+
+    def test_pooled_profile_without_blinder_cost_rejected(self):
+        with pytest.raises(AnalysisError):
+            CryptoCostProfile(
+                key_bits=2048, degree=1, keygen_seconds=1.0, encryption_seconds=0.01,
+                addition_seconds=1e-4, partial_decryption_seconds=0.02,
+                combination_seconds=0.03, ciphertext_bytes=512,
+                fastmath="auto", pooled_encryption_seconds=0.001,
+            )
 
     def test_phases_sum_to_the_total(self, pooled_profile):
         counts = {"encryptions": 3, "pooled_encryptions": 10,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.config import ChiaroscuroConfig
 from repro.core import run_chiaroscuro
 from repro.crypto import damgard_jurik as dj
+from repro.crypto import fastmath
 from repro.crypto import paillier
 from repro.crypto import threshold as th
 from repro.crypto.backends import DamgardJurikBackend, make_backend
@@ -492,8 +493,10 @@ class TestEndToEndEquivalence:
         auto = self._run("auto")
         np.testing.assert_array_equal(off.profiles, auto.profiles)
         assert off.assignments.tolist() == auto.assignments.tolist()
-        assert off.metadata["fastmath"] == {"mode": "off", "pooled": False}
-        assert auto.metadata["fastmath"] == {"mode": "auto", "pooled": True}
+        assert off.metadata["fastmath"] == {"mode": "off", "pooled": False,
+                                            "bigint": "python"}
+        assert auto.metadata["fastmath"] == {"mode": "auto", "pooled": True,
+                                             "bigint": fastmath.BIGINT}
         assert auto.costs.encryptions == off.costs.encryptions
         assert auto.costs.homomorphic_additions == off.costs.homomorphic_additions
 
