@@ -215,28 +215,29 @@ class CryptoCostProfile:
         }
 
 
+#: The committed crypto benchmark profile runs are priced with: the
+#: repository-root ``BENCH_crypto.json``, whatever the working directory.
+REFERENCE_PROFILE_PATH = Path(__file__).resolve().parents[3] / "BENCH_crypto.json"
+
+
 def load_reference_profile(fastmath: str = "off") -> CryptoCostProfile | None:
     """Load the committed crypto benchmark profile, when one is available.
 
-    Looks for ``BENCH_crypto.json`` in the working directory and at the
-    repository root; returns ``None`` (callers then omit the seconds
-    metrics or fall back to pure operation counts) when neither exists or
-    the payload is malformed.  *fastmath* selects the timing column, so the
-    profile prices operations the way the run actually executed them.
+    Reads :data:`REFERENCE_PROFILE_PATH` only, so a run prices the same
+    from any working directory.  Returns ``None`` (callers then omit the
+    seconds metrics) when the file does not exist; raises
+    :class:`AnalysisError` when it exists but cannot be read or parsed.
+    *fastmath* selects the timing column, so the profile prices operations
+    the way the run actually executed them.
     """
-    candidates = [
-        Path.cwd() / "BENCH_crypto.json",
-        Path(__file__).resolve().parents[3] / "BENCH_crypto.json",
-    ]
-    for candidate in candidates:
-        if not candidate.is_file():
-            continue
-        try:
-            payload = json.loads(candidate.read_text(encoding="utf-8"))
-            return CryptoCostProfile.from_bench_json(payload, fastmath=fastmath)
-        except Exception:
-            return None
-    return None
+    path = REFERENCE_PROFILE_PATH
+    if not path.is_file():
+        return None
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise AnalysisError(f"unreadable crypto profile {path}: {exc}") from exc
+    return CryptoCostProfile.from_bench_json(payload, fastmath=fastmath)
 
 
 def measure_crypto_costs(

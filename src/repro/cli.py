@@ -51,6 +51,7 @@ from .datasets import (
     load_dataset_for_population,
 )
 from .exceptions import ReproError
+from .privacy.probabilistic import ProbabilisticGuarantee
 
 
 def _dataset_from_args(args: argparse.Namespace):
@@ -197,9 +198,9 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
                              "temporary file so huge populations run in "
                              "bounded resident memory (bit-identical)")
     parser.add_argument("--slab-chunk-rows", type=int, default=0,
-                        help="row-block size for the slab engine's elementwise "
-                             "phases (0 = whole slab at once); bounds peak "
-                             "temporaries without changing results")
+                        help="upper bound on the row-block size of the slab "
+                             "engine's elementwise phases (0 = the default "
+                             "cache-sized block); never changes results")
     parser.add_argument("--matrix-backed", action="store_true",
                         help="generate the dataset as one flat array instead "
                              "of per-node TimeSeries objects (gaussian only); "
@@ -209,11 +210,24 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
 
+def _vacuous_warning(guarantee: ProbabilisticGuarantee) -> str | None:
+    """The warning printed next to a vacuous (δ ≥ 1) privacy guarantee."""
+    if not guarantee.vacuous:
+        return None
+    return (
+        f"warning: delta = {guarantee.delta} makes this guarantee vacuous "
+        "(too few gossip cycles for the population); raise --gossip-cycles"
+    )
+
+
 def _command_run(args: argparse.Namespace) -> int:
     collection = _dataset_from_args(args)
     config = _config_from_args(args)
     result = run_chiaroscuro(collection, config)
+    warning = _vacuous_warning(result.guarantee)
     if args.json:
+        if warning:
+            print(warning, file=sys.stderr)
         payload = {
             "summary": result.summary(),
             "cluster_sizes": result.cluster_sizes(),
@@ -234,6 +248,8 @@ def _command_run(args: argparse.Namespace) -> int:
     ))
     print()
     print(format_table([result.guarantee.as_dict()], title="realised privacy guarantee"))
+    if warning:
+        print(warning)
     print()
     print(format_table([result.metadata["fastmath"]], title="crypto arithmetic"))
     return 0

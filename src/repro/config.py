@@ -423,11 +423,13 @@ class RuntimeConfig:
         (``madvise(DONTNEED)``) so huge populations run in bounded resident
         memory.
     slab_chunk_rows:
-        Row-block size of the slab engine's elementwise phases (contribution
-        scatter and pair averaging).  ``0`` (default) processes whole slabs
-        at once; any positive value bounds the temporaries without changing
-        a single bit — reductions always run over fixed canonical blocks, so
-        results are chunk-size invariant by construction.
+        Upper bound on the row-block size of the slab engine's elementwise
+        phases (contribution scatter and pair averaging), which always step
+        through the slab in cache-sized blocks (``slab.STEP_BYTES`` of
+        rows).  ``0`` (default) adds no bound; any positive value can only
+        shrink the step, never changing a single bit — reductions always
+        run over fixed canonical blocks, so results are chunk-size
+        invariant by construction.
     crypto_sample_fraction:
         Fraction of the population that runs the real crypto pipeline
         end-to-end under the slab engine.  ``1.0`` (default) runs everything

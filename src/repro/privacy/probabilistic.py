@@ -33,13 +33,21 @@ class ProbabilisticGuarantee:
     delta: float
     relative_error_bound: float
 
-    def as_dict(self) -> dict[str, float]:
+    @property
+    def vacuous(self) -> bool:
+        """True when δ ≥ 1: "ε' with probability ≥ 1 - δ" then promises
+        nothing (too few gossip cycles for the population; see
+        :func:`cycles_for_target_delta`)."""
+        return self.delta >= 1.0
+
+    def as_dict(self) -> dict[str, float | bool]:
         """Plain dictionary view (for reports and logs)."""
         return {
             "epsilon": self.epsilon,
             "effective_epsilon": self.effective_epsilon,
             "delta": self.delta,
             "relative_error_bound": self.relative_error_bound,
+            "vacuous": self.vacuous,
         }
 
 

@@ -20,9 +20,12 @@ The estimate slab is the engine's one population-sized mutable array
   anonymous-by-unlink :class:`numpy.memmap` file; processed row ranges are
   released from resident memory with ``madvise(MADV_DONTNEED)``, so resident
   size stays bounded by the chunk size rather than the population).
-* ``chunk_rows`` — upper bound on the rows materialised at once by the
-  elementwise phases (contribution scatter, pair averaging).  ``0`` means
-  whole-phase vectorised operation.
+* ``chunk_rows`` — upper bound on the rows (pairs) materialised at once by
+  the elementwise phases (contribution scatter, pair averaging).  Those
+  phases always run as cache-blocked loops whose step is
+  :data:`STEP_BYTES` of estimate rows (:func:`step_rows`); ``chunk_rows``
+  can only make the step smaller, and ``0`` leaves it at the byte-sized
+  default.
 
 Determinism contract
 --------------------
@@ -82,6 +85,14 @@ REDUCE_BLOCK_ROWS = 65536
 #: chunk versus ~1.1 GiB at 8192.  The chunk partition never changes the
 #: arithmetic (pairs are disjoint), so capping the advised step is free.
 ADVISE_PAIR_CHUNK = 8192
+
+#: Bytes of estimate rows one step of the elementwise kernels (pair
+#: averaging, contribution scatter) materialises.  Small enough that a
+#: step's gathers and temporaries stay in L2, so a round neither allocates
+#: slab-sized temporaries (fresh pages, faulted in again every round) nor
+#: streams them through DRAM; large enough to amortise the per-step NumPy
+#: call overhead.  Sized in bytes so it fits any dtype and row width.
+STEP_BYTES = 128 * 1024
 
 #: Element dtypes the estimate slab supports (mirrors config.SLAB_DTYPES).
 _SLAB_NUMPY_DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -308,6 +319,53 @@ def pair_online(
     return order[: 2 * n_pairs].reshape(n_pairs, 2).astype(np.int64, copy=False)
 
 
+def step_rows(estimates: np.ndarray, chunk_rows: int = 0) -> int:
+    """Rows (or pairs) one step of the elementwise kernels materialises.
+
+    :data:`STEP_BYTES` worth of estimate rows, at least one, and at most
+    ``chunk_rows`` when that is set.
+    """
+    row_bytes = estimates.shape[1] * estimates.dtype.itemsize
+    step = max(1, STEP_BYTES // row_bytes)
+    return min(step, chunk_rows) if chunk_rows > 0 else step
+
+
+def _average_pair_steps(
+    estimates: np.ndarray,
+    pairs: np.ndarray,
+    chunk_rows: int,
+    advise: bool,
+    both: bool,
+) -> None:
+    """The blocked pair loop behind full (*both*) and half averaging.
+
+    Each step gathers :func:`step_rows` pairs, forms ``0.5 * (E[l] + E[r])``
+    in one cache-resident temporary and scatters it to the right member
+    (and the left one when *both*).  ``advise`` releases the touched pages
+    of a memmap-backed slab once per :data:`ADVISE_PAIR_CHUNK` pairs (or per
+    ``chunk_rows`` pairs when that is smaller).
+    """
+    count = int(pairs.shape[0])
+    if count == 0:
+        return
+    step = step_rows(estimates, chunk_rows)
+    span = min(chunk_rows or count, ADVISE_PAIR_CHUNK) if advise else count
+    for outer in range(0, count, span):
+        end = min(count, outer + span)
+        for start in range(outer, end, step):
+            chunk = pairs[start:min(end, start + step)]
+            left = chunk[:, 0]
+            right = chunk[:, 1]
+            mean = estimates[left]
+            mean += estimates[right]
+            mean *= 0.5
+            if both:
+                estimates[left] = mean
+            estimates[right] = mean
+        if advise:
+            advise_dontneed(estimates)
+
+
 def average_pairs_inplace(
     estimates: np.ndarray,
     pairs: np.ndarray,
@@ -318,27 +376,13 @@ def average_pairs_inplace(
 
     This is one gossip exchange for every pair at once: both members adopt
     the elementwise mean of their estimates, which preserves the global sum
-    exactly (the mass-conservation invariant of gossip averaging).  With
-    ``chunk_rows > 0`` at most that many pairs are materialised per step —
-    the per-pair arithmetic is identical, so chunking never changes the
-    result.  ``advise`` releases the touched (randomly scattered) pages of a
-    memmap-backed slab after every step.
+    exactly (the mass-conservation invariant of gossip averaging).  Pairs
+    are processed in cache-sized steps (:func:`step_rows`); the per-pair
+    arithmetic is identical whatever the step, so neither the step nor
+    ``chunk_rows`` ever changes the result.  ``advise`` releases the touched
+    (randomly scattered) pages of a memmap-backed slab as it goes.
     """
-    count = int(pairs.shape[0])
-    if count == 0:
-        return
-    step = chunk_rows if chunk_rows > 0 else count
-    if advise:
-        step = min(step, ADVISE_PAIR_CHUNK)
-    for start in range(0, count, step):
-        chunk = pairs[start:start + step]
-        left = chunk[:, 0]
-        right = chunk[:, 1]
-        mean = 0.5 * (estimates[left] + estimates[right])
-        estimates[left] = mean
-        estimates[right] = mean
-        if advise:
-            advise_dontneed(estimates)
+    _average_pair_steps(estimates, pairs, chunk_rows, advise, both=True)
 
 
 def half_average_pairs_inplace(
@@ -354,19 +398,7 @@ def half_average_pairs_inplace(
     initiator (left column) keeps its old estimate.  Mass conservation is
     deliberately broken here — that is the fault being modelled.
     """
-    count = int(pairs.shape[0])
-    if count == 0:
-        return
-    step = chunk_rows if chunk_rows > 0 else count
-    if advise:
-        step = min(step, ADVISE_PAIR_CHUNK)
-    for start in range(0, count, step):
-        chunk = pairs[start:start + step]
-        left = chunk[:, 0]
-        right = chunk[:, 1]
-        estimates[right] = 0.5 * (estimates[left] + estimates[right])
-        if advise:
-            advise_dontneed(estimates)
+    _average_pair_steps(estimates, pairs, chunk_rows, advise, both=False)
 
 
 @dataclass(frozen=True)
@@ -475,10 +507,11 @@ def scatter_rows(
     ``[c*(T+1), c*(T+1)+T)`` hold the series values and column
     ``c*(T+1)+T`` holds the membership count 1; every other column is 0 —
     exactly the per-cluster sum/count estimate vector of the protocol.
-    Pure per-row placement (no arithmetic), so any chunking is exact.
+    Pure per-row placement (no arithmetic), so any step is exact; rows go
+    in :func:`step_rows`-sized steps.
     """
     series_length = data.shape[1]
-    step = chunk_rows if chunk_rows > 0 else max(1, end - start)
+    step = step_rows(estimates, chunk_rows)
     offsets = np.arange(series_length + 1, dtype=np.int64)[None, :]
     for s in range(start, end, step):
         e = min(end, s + step)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro import run_chiaroscuro
 from repro.analysis import CostModel, CryptoCostProfile, ProtocolWorkload, measure_crypto_costs
+from repro.analysis import costs as costs_module
+from repro.analysis.costs import REFERENCE_PROFILE_PATH, load_reference_profile
+from repro.datasets import generate_gaussian_clusters
 from repro.exceptions import AnalysisError, ValidationError
 
 
@@ -176,6 +182,52 @@ class TestPhaseSplit:
         assert profile.offline_seconds_for_counts(counts) == 0.0
         # With no pool the full exponentiation happens on the hot path.
         assert profile.seconds_for_counts(counts) == pytest.approx(15 * 0.01)
+
+
+class TestReferenceProfile:
+    """The committed profile is the repository-root file and nothing else."""
+
+    def _decoy(self, directory):
+        """A valid profile with every timing ten times the committed one."""
+        payload = json.loads(REFERENCE_PROFILE_PATH.read_text(encoding="utf-8"))
+        for row in payload["operations"].values():
+            for column in ("off_seconds", "fastmath_seconds"):
+                if column in row:
+                    row[column] *= 10
+        (directory / "BENCH_crypto.json").write_text(json.dumps(payload))
+
+    def test_run_prices_the_same_from_another_working_directory(
+        self, tmp_path, monkeypatch, fast_config
+    ):
+        collection = generate_gaussian_clusters(
+            n_series=40, series_length=8, n_clusters=3, noise_std=0.05, seed=5
+        )
+        config = fast_config.with_overrides(kmeans={"max_iterations": 2})
+        monkeypatch.chdir(REFERENCE_PROFILE_PATH.parent)
+        from_root = run_chiaroscuro(collection, config).costs
+        self._decoy(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        elsewhere = run_chiaroscuro(collection, config).costs
+        assert from_root.online_seconds is not None
+        assert from_root.online_seconds > 0.0
+        assert elsewhere.online_seconds == from_root.online_seconds
+        assert elsewhere.offline_seconds == from_root.offline_seconds
+
+    def test_malformed_profile_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH_crypto.json"
+        monkeypatch.setattr(costs_module, "REFERENCE_PROFILE_PATH", path)
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(AnalysisError, match="unreadable crypto profile"):
+            load_reference_profile()
+        path.write_text(json.dumps({"key_bits": 256}), encoding="utf-8")
+        with pytest.raises(AnalysisError, match="malformed"):
+            load_reference_profile(fastmath="auto")
+
+    def test_missing_profile_is_absent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            costs_module, "REFERENCE_PROFILE_PATH", tmp_path / "BENCH_crypto.json"
+        )
+        assert load_reference_profile() is None
 
 
 class TestByteAccounting:

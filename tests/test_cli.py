@@ -97,6 +97,34 @@ class TestCommands:
         assert "Chiaroscuro run" in output
         assert "realised privacy guarantee" in output
 
+    def test_vacuous_guarantee_warned_on_slab_run(self, capsys):
+        # N=10^5 at 12 gossip cycles: delta = min(1, 10^5 * 0.5**12) = 1.
+        exit_code = main([
+            "run", "--engine", "slab", "--dataset", "gaussian", "--matrix-backed",
+            "--participants", "100000", "--clusters", "4", "--iterations", "1",
+            "--gossip-cycles", "12", "--sample-fraction", "0",
+        ])
+        assert exit_code == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = lines.index("realised privacy guarantee")
+        header = [cell.strip() for cell in lines[table + 1].split("|")]
+        row = [cell.strip() for cell in lines[table + 3].split("|")]
+        assert row[header.index("delta")] == "1.0000"
+        assert row[header.index("vacuous")] == "yes"
+        assert lines[table + 4].startswith("warning: delta = 1.0 ")
+        assert "vacuous" in lines[table + 4]
+
+    def test_no_warning_when_the_guarantee_holds(self, capsys):
+        exit_code = main([
+            "run", "--dataset", "gaussian", "--participants", "20", "--clusters", "2",
+            "--iterations", "1", "--noise-shares", "6", "--gossip-cycles", "8",
+            "--json",
+        ])
+        assert exit_code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["guarantee"]["vacuous"] is False
+        assert "warning" not in captured.err
+
     def test_crypto_bench_command(self, capsys):
         exit_code = main([
             "crypto-bench", "--key-bits", "160", "--repetitions", "2",

@@ -63,7 +63,18 @@ class TestGuarantee:
         as_dict = guarantee.as_dict()
         assert set(as_dict) == {
             "epsilon", "effective_epsilon", "delta", "relative_error_bound",
+            "vacuous",
         }
+        assert as_dict["vacuous"] is False
+
+    def test_delta_of_one_is_flagged_vacuous(self):
+        # delta = min(1, N * 0.5**12): N = 4096 is the first population at
+        # which 12 cycles promise nothing.
+        assert not guarantee_for_run(1.0, cycles=12, n_participants=4095).vacuous
+        vacuous = guarantee_for_run(1.0, cycles=12, n_participants=4096)
+        assert vacuous.delta == 1.0
+        assert vacuous.vacuous
+        assert vacuous.as_dict()["vacuous"] is True
 
     def test_more_cycles_tighten_the_guarantee(self):
         loose = guarantee_for_run(1.0, cycles=8, n_participants=1000)
